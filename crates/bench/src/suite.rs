@@ -20,6 +20,7 @@
 //! DESIGN.md §7).
 
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use grgad_core::{TimingObserver, TpGrGad, TpGrGadConfig, TpGrGadResult};
@@ -368,9 +369,13 @@ fn mmap_scoring_parity(
     if dataset.graph.features().is_shared() {
         return None;
     }
+    // Parallel tests in one process score the same dataset names, so a
+    // process-wide counter keeps their artifact directories apart.
+    static PARITY_DIRS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "grgad_bench_parity_{}_{}",
+        "grgad_bench_parity_{}_{}_{}",
         std::process::id(),
+        PARITY_DIRS.fetch_add(1, Ordering::Relaxed),
         dataset.name
     ));
     grgad_datasets::stream::write_dataset(dataset, &dir)

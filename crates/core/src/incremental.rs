@@ -11,25 +11,25 @@
 //!    hop ball of the dirty region;
 //! 2. **candidate draws** — a [`DrawCache`] memoizing the path/tree/cycle
 //!    searches of Alg. 1, pruned by hop distance from topology dirt;
-//! 3. **group embeddings** — the [`GroupEmbeddingCache`], invalidated
+//! 3. **group embeddings** — a `GroupEmbeddingCache`, invalidated
 //!    per-member for node dirt and pairwise for edge dirt.
 //!
-//! The contract at every level is the same: **bit-for-bit identity** with a
-//! from-scratch `score` on the current graph. The state also carries the
+//! `TrainedTpGrGad::score` is the same path run on a cold state that is
+//! dropped on return, so the contract at every level is **bit-for-bit
+//! identity** with a cold run on the current graph. The state also carries the
 //! [`DirtyRegion`] deltas accumulate into, the previous round's anchors
 //! (for reuse accounting), and lifetime counters surfaced by
 //! [`IncrementalState::stats`].
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use grgad_error::GrgadError;
 use grgad_gnn::ErrorCache;
-use grgad_graph::DirtyRegion;
+use grgad_graph::{DirtyRegion, Group};
+use grgad_linalg::Matrix;
 use grgad_sampling::DrawCache;
 use serde::{Deserialize, Serialize};
-
-use crate::pipeline::GroupEmbeddingCache;
 
 /// How a score request was served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,6 +85,119 @@ pub struct IncrementalStats {
     pub cached_embeddings: usize,
 }
 
+/// Group embeddings keyed by the group's canonical node set — the level of
+/// [`IncrementalState`] that lets a score skip stage 3 (the per-group GCN
+/// forward) for groups whose members were untouched by graph deltas.
+///
+/// A cached row is only valid while the group's members keep their feature
+/// rows and induced edges, so the scoring path evicts every group holding
+/// a re-featured node and every group holding **both** endpoints of a
+/// changed edge (an edge whose other endpoint lies outside a group cannot
+/// change that group's induced subgraph). Because the encoder embeds each
+/// group from its induced subgraph alone, with per-group output slots
+/// independent of batch composition, a valid cached row is bit-identical to
+/// a freshly computed one.
+#[derive(Debug, Default)]
+pub(crate) struct GroupEmbeddingCache {
+    entries: BTreeMap<Group, Vec<f32>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl GroupEmbeddingCache {
+    /// Drops every cached embedding (counters are kept).
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Drops every cached group containing any of `nodes`, or **both**
+    /// endpoints of any of `edges`, in one pass over the cache.
+    pub(crate) fn invalidate(&mut self, nodes: &BTreeSet<usize>, edges: &BTreeSet<(usize, usize)>) {
+        if (nodes.is_empty() && edges.is_empty()) || self.entries.is_empty() {
+            return;
+        }
+        self.entries.retain(|group, _| {
+            !nodes.iter().any(|&v| group.contains(v))
+                && !edges
+                    .iter()
+                    .any(|&(u, v)| group.contains(u) && group.contains(v))
+        });
+    }
+
+    /// Embeds `groups` (`dim` columns), reusing every cached row and
+    /// computing only the misses through `embed` in one batch; the misses
+    /// are cached on return. Rows cached under a different width (a state
+    /// reused across models) count as misses and are overwritten.
+    pub(crate) fn embed(
+        &mut self,
+        groups: &[Group],
+        dim: usize,
+        embed: impl FnOnce(&[Group]) -> Matrix,
+    ) -> Matrix {
+        let misses: Vec<Group> = groups
+            .iter()
+            .filter(|group| self.entries.get(*group).is_none_or(|row| row.len() != dim))
+            .cloned()
+            .collect();
+        self.hits += (groups.len() - misses.len()) as u64;
+        self.misses += misses.len() as u64;
+        let fresh = embed(&misses);
+        for (slot, group) in misses.into_iter().enumerate() {
+            self.entries.insert(group, fresh.row(slot).to_vec());
+        }
+
+        let mut out = Matrix::zeros(groups.len(), dim);
+        for (i, group) in groups.iter().enumerate() {
+            if let Some(row) = self.entries.get(group) {
+                out.row_mut(i).copy_from_slice(row);
+            }
+        }
+
+        // Bound the cache to the working set: entries for groups outside the
+        // current candidate batch are only worth keeping while the candidate
+        // set oscillates, so once the cache outgrows the batch by a
+        // comfortable factor, sweep the strangers. Without this a
+        // long-running engine accumulates embeddings for groups that will
+        // never be candidates again (unbounded RSS).
+        if self.entries.len() > 4 * groups.len() + 64 {
+            let current: BTreeSet<&Group> = groups.iter().collect();
+            self.entries.retain(|group, _| current.contains(group));
+        }
+        out
+    }
+}
+
+// Groups are flattened to node-id lists so the cache persists without
+// `Group` carrying serde impls.
+impl Serialize for GroupEmbeddingCache {
+    fn to_value(&self) -> serde::Value {
+        let entries: Vec<(Vec<usize>, Vec<f32>)> = self
+            .entries
+            .iter()
+            .map(|(group, row)| (group.nodes().to_vec(), row.clone()))
+            .collect();
+        serde::Value::Map(vec![
+            ("entries".to_string(), entries.to_value()),
+            ("hits".to_string(), self.hits.to_value()),
+            ("misses".to_string(), self.misses.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for GroupEmbeddingCache {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let raw = Vec::<(Vec<usize>, Vec<f32>)>::from_value(value.field("entries")?)?;
+        Ok(Self {
+            entries: raw
+                .into_iter()
+                .map(|(nodes, row)| (Group::new(nodes), row))
+                .collect(),
+            hits: u64::from_value(value.field("hits")?)?,
+            misses: u64::from_value(value.field("misses")?)?,
+        })
+    }
+}
+
 /// Persistent cross-round scoring state: all three cache levels, the dirty
 /// region deltas accumulate into, and reuse counters. Create one per
 /// evolving graph, feed every mutation to [`IncrementalState::mark_node`] /
@@ -116,7 +229,7 @@ impl IncrementalState {
         Self {
             errors: None,
             draws: DrawCache::new(),
-            embeddings: GroupEmbeddingCache::new(),
+            embeddings: GroupEmbeddingCache::default(),
             dirty: DirtyRegion::new(),
             last_anchors: Vec::new(),
             max_dirty_fraction: 0.25,
@@ -186,11 +299,11 @@ impl IncrementalState {
             anchors_reused: self.anchors_reused,
             groups_resampled: draw_misses,
             groups_reused: draw_hits,
-            cache_hits: self.embeddings.hits(),
-            cache_misses: self.embeddings.misses(),
+            cache_hits: self.embeddings.hits,
+            cache_misses: self.embeddings.misses,
             cached_nodes: self.errors.as_ref().map_or(0, ErrorCache::nodes),
             cached_draws: self.draws.len(),
-            cached_embeddings: self.embeddings.len(),
+            cached_embeddings: self.embeddings.entries.len(),
         }
     }
 
@@ -215,7 +328,7 @@ impl IncrementalState {
             ),
             ("errors".to_string(), self.errors.to_value()),
             ("draws".to_string(), self.draws.to_value()),
-            ("embeddings".to_string(), self.embeddings.snapshot_value()),
+            ("embeddings".to_string(), self.embeddings.to_value()),
             ("dirty_nodes".to_string(), dirty_nodes.to_value()),
             ("dirty_edges".to_string(), dirty_edges.to_value()),
             ("last_anchors".to_string(), self.last_anchors.to_value()),
@@ -260,7 +373,7 @@ impl IncrementalState {
         Ok(Self {
             errors: Option::<ErrorCache>::from_value(value.field("errors")?)?,
             draws: DrawCache::from_value(value.field("draws")?)?,
-            embeddings: GroupEmbeddingCache::from_snapshot_value(value.field("embeddings")?)?,
+            embeddings: GroupEmbeddingCache::from_value(value.field("embeddings")?)?,
             dirty,
             last_anchors: Vec::<usize>::from_value(value.field("last_anchors")?)?,
             max_dirty_fraction: f32::from_value(value.field("max_dirty_fraction")?)?,
@@ -291,7 +404,7 @@ impl IncrementalState {
 }
 
 /// Identifier stored in saved states; bump on breaking layout changes.
-const STATE_FORMAT: &str = "grgad-incremental-state/v1";
+const STATE_FORMAT: &str = "grgad-incremental-state/v2";
 
 /// Path label for in-memory (de)serialization failures.
 const STATE_IN_MEMORY: &str = "<memory>";
@@ -347,5 +460,20 @@ mod tests {
 
         let err = IncrementalState::from_json("{\"format\":\"nope\"}").unwrap_err();
         assert!(matches!(err, GrgadError::ModelIo { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn v1_states_are_rejected_as_model_io() {
+        // v1 cached the attribute decoder output and keyed raw overlap
+        // weights by edge; v2 has neither, and no legacy reader.
+        let v2 = IncrementalState::new().to_json().unwrap();
+        let v1 = v2.replace(STATE_FORMAT, "grgad-incremental-state/v1");
+        assert_ne!(v1, v2);
+        let err = IncrementalState::from_json(&v1).unwrap_err();
+        assert!(matches!(err, GrgadError::ModelIo { .. }), "{err:?}");
+        assert!(
+            err.to_string().contains("grgad-incremental-state/v1"),
+            "{err}"
+        );
     }
 }

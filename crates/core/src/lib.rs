@@ -35,9 +35,10 @@
 //! straight onto its wire protocol. [`IncrementalState`] is the seam that
 //! layer uses to re-score evolving graphs incrementally with bit-identical
 //! output: it persists cached reconstruction errors, memoized candidate
-//! draws, and the [`GroupEmbeddingCache`] across
+//! draws, and group embeddings across
 //! [`TrainedTpGrGad::score_incremental`] rounds, recomputing only inside
-//! the dirty region (see DESIGN.md §8–9).
+//! the dirty region (see DESIGN.md §8–9). [`TrainedTpGrGad::score`] is the
+//! same path run on a cold state that is dropped on return.
 
 // The serving contract: no `unwrap()` on the core public path — every
 // fallible surface returns `Result<_, GrgadError>` instead. Enforced here
@@ -54,7 +55,7 @@ pub mod stage;
 pub use config::{DetectorKind, TpGrGadConfig, TpGrGadConfigBuilder};
 pub use error::GrgadError;
 pub use incremental::{IncrementalState, IncrementalStats, ScoreMode};
-pub use pipeline::{GroupEmbeddingCache, TpGrGad, TpGrGadResult, TrainedTpGrGad};
+pub use pipeline::{TpGrGad, TpGrGadResult, TrainedTpGrGad};
 pub use stage::{
     peak_rss_bytes, NullObserver, PipelineObserver, PipelinePhase, PipelineStage, StageTimings,
     TimingObserver,

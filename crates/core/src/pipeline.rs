@@ -8,7 +8,7 @@
 //! [`TpGrGad::detect`] is a thin `fit(g).score(g)` wrapper and produces
 //! bit-for-bit identical output.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::Path;
 
 use grgad_datasets::GrGadDataset;
@@ -209,137 +209,6 @@ impl TpGrGad {
     }
 }
 
-/// A reusable cache of group embeddings keyed by the group's canonical node
-/// set — the seam the incremental serving engine uses to skip stage 3 (the
-/// per-group GCN forward, the dominant score-path cost) for groups whose
-/// members were untouched by graph deltas.
-///
-/// Correctness contract: a cached row is only valid while the group's
-/// members keep their feature rows and induced edges; the owner must call
-/// [`GroupEmbeddingCache::invalidate_nodes`] with every re-featured node
-/// and [`GroupEmbeddingCache::invalidate_edge`] for every edge change. A
-/// group's induced subgraph is only affected by an edge `(u, v)` when it
-/// contains **both** endpoints, so edge invalidation is pairwise; feature
-/// invalidation is per-member. Because the encoder embeds each group from
-/// its induced subgraph alone, with per-group output slots independent of
-/// batch composition, a valid cached row is bit-identical to a freshly
-/// computed one — which is what makes [`TrainedTpGrGad::score_cached`]
-/// exactly equal to [`TrainedTpGrGad::score`].
-///
-/// Rows cached under a different embedding dimension (a cache reused
-/// across models) are treated as misses and overwritten, never copied, so
-/// a shared cache cannot panic the scoring path. Size is bounded: after
-/// each run, entries not belonging to the current candidate set are swept
-/// once the cache exceeds a small multiple of the batch size, so a
-/// long-running engine's memory tracks its working set instead of its
-/// history.
-#[derive(Debug, Default)]
-pub struct GroupEmbeddingCache {
-    entries: BTreeMap<Group, Vec<f32>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl GroupEmbeddingCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached group embeddings.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Cache hits accumulated across scoring runs.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses (fresh embeddings computed) across scoring runs.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Drops every cached embedding (the full-re-score fallback).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Drops every cached group containing any of `nodes` — for mutations
-    /// that change a node itself (feature updates, appended nodes).
-    pub fn invalidate_nodes(&mut self, nodes: &[usize]) {
-        if nodes.is_empty() || self.entries.is_empty() {
-            return;
-        }
-        self.entries
-            .retain(|group, _| !nodes.iter().any(|&v| group.contains(v)));
-    }
-
-    /// Drops every cached group containing **both** endpoints of a changed
-    /// edge. A group's induced subgraph — the only graph state its
-    /// embedding reads — is untouched by an edge whose other endpoint lies
-    /// outside the group, so pairwise invalidation preserves bit-parity
-    /// while evicting far less than per-endpoint invalidation would
-    /// (hub endpoints in power-law graphs would otherwise flush most of
-    /// the cache on every edge delta).
-    pub fn invalidate_edge(&mut self, u: usize, v: usize) {
-        self.invalidate_edges(&[(u, v)]);
-    }
-
-    /// Batch form of [`GroupEmbeddingCache::invalidate_edge`]: one pass
-    /// over the cache for the whole dirty-edge set, instead of one full
-    /// `retain` scan per edge (which would make invalidation
-    /// `O(edges × entries)` on the serving hot path).
-    pub fn invalidate_edges(&mut self, edges: &[(usize, usize)]) {
-        if edges.is_empty() || self.entries.is_empty() {
-            return;
-        }
-        self.entries.retain(|group, _| {
-            !edges
-                .iter()
-                .any(|&(u, v)| group.contains(u) && group.contains(v))
-        });
-    }
-
-    /// Cache contents as a serde tree — groups flattened to node-id lists
-    /// so [`crate::IncrementalState`] can persist the cache without `Group`
-    /// carrying serde impls.
-    pub(crate) fn snapshot_value(&self) -> serde::Value {
-        use serde::Serialize;
-        let entries: Vec<(Vec<usize>, Vec<f32>)> = self
-            .entries
-            .iter()
-            .map(|(group, row)| (group.nodes().to_vec(), row.clone()))
-            .collect();
-        serde::Value::Map(vec![
-            ("entries".to_string(), entries.to_value()),
-            ("hits".to_string(), self.hits.to_value()),
-            ("misses".to_string(), self.misses.to_value()),
-        ])
-    }
-
-    /// Inverse of [`GroupEmbeddingCache::snapshot_value`].
-    pub(crate) fn from_snapshot_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::Deserialize;
-        let raw = Vec::<(Vec<usize>, Vec<f32>)>::from_value(value.field("entries")?)?;
-        let mut entries = BTreeMap::new();
-        for (nodes, row) in raw {
-            entries.insert(Group::new(nodes), row);
-        }
-        Ok(Self {
-            entries,
-            hits: u64::from_value(value.field("hits")?)?,
-            misses: u64::from_value(value.field("misses")?)?,
-        })
-    }
-}
-
 /// A trained TP-GrGAD model: MH-GAE weights, the TPGCL group encoder and a
 /// fitted outlier detector. Produced by [`TpGrGad::fit`]; scores any number
 /// of graphs/snapshots without retraining and persists itself as JSON.
@@ -409,48 +278,20 @@ impl TrainedTpGrGad {
         self.score_observed(graph, &mut NullObserver)
     }
 
-    /// [`TrainedTpGrGad::score`] reusing cached group embeddings for
-    /// candidate groups whose members are untouched since they were cached —
-    /// the incremental serving path. Produces output bit-identical to
-    /// [`TrainedTpGrGad::score`] provided the cache-owner honoured the
-    /// invalidation contract ([`GroupEmbeddingCache::invalidate_nodes`] on
-    /// every mutated node); the cache is refreshed with this run's
-    /// embeddings on return.
-    #[deprecated(note = "use `score_incremental`, which also reuses node errors, \
-                anchors and candidate draws and tracks dirt itself")]
-    pub fn score_cached(
-        &self,
-        graph: &Graph,
-        cache: &mut GroupEmbeddingCache,
-    ) -> Result<TpGrGadResult, GrgadError> {
-        self.score_impl(graph, &mut NullObserver, Some(cache))
-    }
-
-    /// [`TrainedTpGrGad::score_cached`] with a [`PipelineObserver`]
-    /// receiving per-stage timing/workload reports — the serving host's
-    /// incremental path with telemetry attached. Observation never touches
-    /// the numeric path: results stay bit-identical to
-    /// [`TrainedTpGrGad::score_cached`] under the same cache state.
-    #[deprecated(note = "use `score_incremental_observed`, which also reuses node \
-                errors, anchors and candidate draws and tracks dirt itself")]
-    pub fn score_cached_observed(
-        &self,
-        graph: &Graph,
-        cache: &mut GroupEmbeddingCache,
-        observer: &mut dyn PipelineObserver,
-    ) -> Result<TpGrGadResult, GrgadError> {
-        self.score_impl(graph, observer, Some(cache))
-    }
-
     /// [`TrainedTpGrGad::score`] with a [`PipelineObserver`] receiving
     /// per-stage timing/workload reports (every report has
     /// `train_epochs == 0`).
+    ///
+    /// This is the cold run of the one score path: a
+    /// [`TrainedTpGrGad::score_incremental_observed`] call on a new
+    /// [`IncrementalState`] that is dropped on return.
     pub fn score_observed(
         &self,
         graph: &Graph,
         observer: &mut dyn PipelineObserver,
     ) -> Result<TpGrGadResult, GrgadError> {
-        self.score_impl(graph, observer, None)
+        self.score_incremental_observed(graph, &mut IncrementalState::new(), observer)
+            .map(|(result, _)| result)
     }
 
     /// Scores an evolving graph by patching the cached state in `state`
@@ -463,9 +304,9 @@ impl TrainedTpGrGad {
     /// on the GCN receptive-field ball, candidate draws through touched
     /// topology, embeddings of touched groups) and consumes the recorded
     /// dirt. The result is **bit-identical** to [`TrainedTpGrGad::score`]
-    /// on the same graph — DESIGN.md §9 states the invariant, and
-    /// `tests/incremental_parity.rs` plus the low-churn property test pin
-    /// it across seeds and thread counts.
+    /// (this path on a cold state) on the same graph — DESIGN.md §9 states
+    /// the invariant, and `tests/incremental_parity.rs` plus the low-churn
+    /// property test pin it across seeds and thread counts.
     ///
     /// A cold state, an [`IncrementalState::invalidate`]d state, or a dirty
     /// fraction above [`IncrementalState::max_dirty_fraction`] falls back
@@ -572,10 +413,9 @@ impl TrainedTpGrGad {
         // dirt, pairwise for edge dirt (an edge whose other endpoint lies
         // outside a group cannot change that group's induced subgraph).
         if mode == ScoreMode::Incremental {
-            let nodes: Vec<usize> = state.dirty.nodes().iter().copied().collect();
-            let edges: Vec<(usize, usize)> = state.dirty.edges().iter().copied().collect();
-            state.embeddings.invalidate_nodes(&nodes);
-            state.embeddings.invalidate_edges(&edges);
+            state
+                .embeddings
+                .invalidate(state.dirty.nodes(), state.dirty.edges());
         }
         state.dirty.clear();
         match mode {
@@ -604,13 +444,10 @@ impl TrainedTpGrGad {
             PipelineStage::GroupEmbedding,
             PipelinePhase::Score,
             || {
-                let z = embed_groups_cached(
-                    self.tpgcl.as_ref(),
-                    graph,
-                    &candidate_groups,
-                    config.use_tpgcl,
-                    &mut state.embeddings,
-                );
+                let dim = embedding_dim(self.tpgcl.as_ref(), graph, config.use_tpgcl);
+                let z = state.embeddings.embed(&candidate_groups, dim, |missing| {
+                    embed_groups(self.tpgcl.as_ref(), graph, missing, config.use_tpgcl)
+                });
                 (z, candidate_groups.len(), 0)
             },
         );
@@ -640,103 +477,6 @@ impl TrainedTpGrGad {
             },
             mode,
         ))
-    }
-
-    fn score_impl(
-        &self,
-        graph: &Graph,
-        observer: &mut dyn PipelineObserver,
-        cache: Option<&mut GroupEmbeddingCache>,
-    ) -> Result<TpGrGadResult, GrgadError> {
-        self.check_compat(graph)?;
-        let config = &self.config;
-        grgad_parallel::set_max_threads(config.num_threads);
-
-        // Stage 1: anchor localization — forward pass only.
-        let (anchor_nodes, node_errors) = observe_stage(
-            observer,
-            PipelineStage::AnchorLocalization,
-            PipelinePhase::Score,
-            || {
-                let node_errors = self.mhgae.infer_errors(graph).combined;
-                let anchors = select_anchor_nodes(&node_errors, config.anchor_fraction);
-                ((anchors, node_errors), graph.num_nodes(), 0)
-            },
-        );
-
-        // Stage 2: candidate-group sampling (Alg. 1).
-        let (candidate_groups, sampling_stats) = observe_stage(
-            observer,
-            PipelineStage::CandidateSampling,
-            PipelinePhase::Score,
-            || {
-                let (groups, stats) =
-                    sample_candidate_groups(graph, &anchor_nodes, &config.sampling);
-                let n = groups.len();
-                ((groups, stats), n, 0)
-            },
-        );
-
-        if candidate_groups.is_empty() {
-            return Ok(TpGrGadResult {
-                anchor_nodes,
-                node_errors,
-                candidate_groups,
-                sampling_stats,
-                embeddings: Matrix::zeros(0, 0),
-                scores: Vec::new(),
-                predicted_anomalous: Vec::new(),
-            });
-        }
-
-        // Stage 3: embed the candidate groups with the trained encoder,
-        // reusing cached rows for groups untouched since they were cached.
-        let embeddings = observe_stage(
-            observer,
-            PipelineStage::GroupEmbedding,
-            PipelinePhase::Score,
-            || {
-                let z = match cache {
-                    Some(cache) => embed_groups_cached(
-                        self.tpgcl.as_ref(),
-                        graph,
-                        &candidate_groups,
-                        config.use_tpgcl,
-                        cache,
-                    ),
-                    None => embed_groups(
-                        self.tpgcl.as_ref(),
-                        graph,
-                        &candidate_groups,
-                        config.use_tpgcl,
-                    ),
-                };
-                (z, candidate_groups.len(), 0)
-            },
-        );
-
-        // Stage 4: score with the fitted detector and threshold.
-        let (scores, predicted_anomalous) = observe_stage(
-            observer,
-            PipelineStage::OutlierScoring,
-            PipelinePhase::Score,
-            || {
-                let scores = self.detector.score(&embeddings);
-                let flags = self.apply_threshold(&scores);
-                let n = scores.len();
-                ((scores, flags), n, 0)
-            },
-        );
-
-        Ok(TpGrGadResult {
-            anchor_nodes,
-            node_errors,
-            candidate_groups,
-            sampling_stats,
-            embeddings,
-            scores,
-            predicted_anomalous,
-        })
     }
 
     /// Scores pre-sampled candidate groups directly, skipping anchor
@@ -965,69 +705,6 @@ const MODEL_FORMAT: &str = "tp-grgad-model/v1";
 /// Path label for in-memory (de)serialization failures.
 const IN_MEMORY: &str = "<memory>";
 
-/// [`embed_groups`] splitting the batch into cache hits and misses: only
-/// missing groups pay the per-group GCN forward; the assembled matrix is
-/// bit-identical to embedding everything fresh because each row of
-/// `embed_groups`' output depends only on its own group's induced subgraph
-/// (per-group output slots, batch-composition-independent). The cache is
-/// updated with this run's fresh rows.
-fn embed_groups_cached(
-    tpgcl: Option<&Tpgcl>,
-    graph: &Graph,
-    groups: &[Group],
-    use_tpgcl: bool,
-    cache: &mut GroupEmbeddingCache,
-) -> Matrix {
-    if groups.is_empty() {
-        return Matrix::zeros(0, 0);
-    }
-    // This model's embedding width, known up front so rows cached by a
-    // *different* model (wrong width) count as misses and get overwritten
-    // instead of reaching `copy_from_slice` and panicking.
-    let dim = match (use_tpgcl, tpgcl) {
-        (true, Some(model)) => model.encoder().embed_dim(),
-        (true, None) => unreachable!("use_tpgcl set but no TPGCL model present"),
-        (false, _) => graph.feature_dim(),
-    };
-    let miss_indices: Vec<usize> = (0..groups.len())
-        .filter(|&i| {
-            cache
-                .entries
-                .get(&groups[i])
-                .is_none_or(|row| row.len() != dim)
-        })
-        .collect();
-    cache.hits += (groups.len() - miss_indices.len()) as u64;
-    cache.misses += miss_indices.len() as u64;
-
-    let miss_groups: Vec<Group> = miss_indices.iter().map(|&i| groups[i].clone()).collect();
-    let fresh = embed_groups(tpgcl, graph, &miss_groups, use_tpgcl);
-    for (slot, &i) in miss_indices.iter().enumerate() {
-        cache
-            .entries
-            .insert(groups[i].clone(), fresh.row(slot).to_vec());
-    }
-
-    let mut out = Matrix::zeros(groups.len(), dim);
-    for (i, group) in groups.iter().enumerate() {
-        if let Some(row) = cache.entries.get(group) {
-            out.row_mut(i).copy_from_slice(row);
-        }
-    }
-
-    // Bound the cache to the working set: entries for groups outside the
-    // current candidate batch are only worth keeping while the candidate
-    // set oscillates, so once the cache outgrows the batch by a comfortable
-    // factor, sweep the strangers. Without this a long-running engine
-    // accumulates embeddings for groups that will never be candidates
-    // again (unbounded RSS).
-    if cache.entries.len() > 4 * groups.len() + 64 {
-        let current: std::collections::BTreeSet<&Group> = groups.iter().collect();
-        cache.entries.retain(|group, _| current.contains(group));
-    }
-    out
-}
-
 /// Embeds groups with the trained TPGCL encoder, or with the Table V
 /// "w/o TPGCL" attribute-mean ablation.
 fn embed_groups(tpgcl: Option<&Tpgcl>, graph: &Graph, groups: &[Group], use_tpgcl: bool) -> Matrix {
@@ -1038,6 +715,16 @@ fn embed_groups(tpgcl: Option<&Tpgcl>, graph: &Graph, groups: &[Group], use_tpgc
         (true, Some(model)) => model.embed_groups(graph, groups),
         (true, None) => unreachable!("use_tpgcl set but no TPGCL model present"),
         (false, _) => mean_attribute_embeddings(graph, groups),
+    }
+}
+
+/// The width of [`embed_groups`]' output, known before embedding so rows
+/// cached by a different model count as misses.
+fn embedding_dim(tpgcl: Option<&Tpgcl>, graph: &Graph, use_tpgcl: bool) -> usize {
+    match (use_tpgcl, tpgcl) {
+        (true, Some(model)) => model.encoder().embed_dim(),
+        (true, None) => unreachable!("use_tpgcl set but no TPGCL model present"),
+        (false, _) => graph.feature_dim(),
     }
 }
 
@@ -1221,37 +908,6 @@ mod tests {
         assert!(matches!(err, GrgadError::ShapeMismatch { .. }), "{err:?}");
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn score_cached_is_bit_identical_and_survives_invalidation() {
-        let dataset = example::generate(40, 13);
-        let trained = quick_detector(7).fit(&dataset.graph).unwrap();
-        let full = trained.score(&dataset.graph).unwrap();
-
-        let mut cache = GroupEmbeddingCache::new();
-        let cold = trained.score_cached(&dataset.graph, &mut cache).unwrap();
-        assert_eq!(cold.scores, full.scores);
-        assert_eq!(cold.candidate_groups, full.candidate_groups);
-        assert!(cache.misses() > 0 && cache.hits() == 0);
-        assert_eq!(cache.len(), {
-            let unique: std::collections::BTreeSet<_> = cold.candidate_groups.iter().collect();
-            unique.len()
-        });
-
-        // Warm run on the unchanged graph: all hits, identical output.
-        let warm = trained.score_cached(&dataset.graph, &mut cache).unwrap();
-        assert_eq!(warm.scores, full.scores);
-        assert!(cache.hits() > 0);
-
-        // Invalidate a node: affected entries drop, output still identical.
-        let victim = cold.candidate_groups[0].nodes()[0];
-        let before = cache.len();
-        cache.invalidate_nodes(&[victim]);
-        assert!(cache.len() < before);
-        let after = trained.score_cached(&dataset.graph, &mut cache).unwrap();
-        assert_eq!(after.scores, full.scores);
-    }
-
     /// Bitwise equality of every output a serving host relies on — stricter
     /// than `==` on scores alone because `-0.0 == 0.0`.
     fn assert_bit_identical(a: &TpGrGadResult, b: &TpGrGadResult, context: &str) {
@@ -1277,6 +933,54 @@ mod tests {
             a.predicted_anomalous, b.predicted_anomalous,
             "{context}: predictions"
         );
+    }
+
+    #[test]
+    fn embedding_cache_counts_cold_warm_and_invalidated_scores() {
+        let dataset = example::generate(40, 13);
+        let trained = quick_detector(7).fit(&dataset.graph).unwrap();
+        let full = trained.score(&dataset.graph).unwrap();
+        // Candidates are deduplicated, so each is one embedding.
+        let groups = full.candidate_groups.len() as u64;
+        assert!(groups > 0);
+
+        // A cold score embeds every candidate: all misses.
+        let mut state = IncrementalState::new();
+        let (cold, mode) = trained
+            .score_incremental(&dataset.graph, &mut state)
+            .unwrap();
+        assert_eq!(mode, ScoreMode::Full);
+        assert_bit_identical(&cold, &full, "cold");
+        let stats = state.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, groups));
+        assert_eq!(stats.cached_embeddings as u64, groups);
+
+        // A second score of the unchanged graph: all hits.
+        let (warm, mode) = trained
+            .score_incremental(&dataset.graph, &mut state)
+            .unwrap();
+        assert_eq!(mode, ScoreMode::Incremental);
+        assert_bit_identical(&warm, &full, "warm");
+        let stats = state.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (groups, groups));
+
+        // Marking one candidate member re-embeds exactly the groups that
+        // contain it; the output stays bit-identical.
+        let victim = full.candidate_groups[0].nodes()[0];
+        let holding = full
+            .candidate_groups
+            .iter()
+            .filter(|g| g.contains(victim))
+            .count() as u64;
+        state.mark_node(victim);
+        let (after, mode) = trained
+            .score_incremental(&dataset.graph, &mut state)
+            .unwrap();
+        assert_eq!(mode, ScoreMode::Incremental);
+        assert_bit_identical(&after, &full, "after mark_node");
+        let stats = state.stats();
+        assert_eq!(stats.cache_misses, groups + holding);
+        assert_eq!(stats.cache_hits, 2 * groups - holding);
     }
 
     /// One low-churn round: flip one deterministic edge and rewrite one

@@ -270,14 +270,12 @@ impl Gae {
         let adj_norm = graph.normalized_adjacency();
         let z = GcnInference::from_snapshots(self.encoder_snapshot())
             .forward(&adj_norm, graph.features());
-        let (dw, db, dact) = self.decoder_snapshot();
+        let decoder = self.decoder_snapshot();
         let n = graph.num_nodes();
         let structure: Vec<f32> =
             grgad_parallel::par_map_range_min(n, 64, |i| structure_error_row(&z, target, i));
-        let features = graph.features();
         let attribute: Vec<f32> = grgad_parallel::par_map_range_min(n, 256, |i| {
-            let x_hat_row = crate::gcn::layer_row(&adj_norm, &z, &dw, &db, dact, i);
-            attribute_error_from_rows(features.row(i), &x_hat_row)
+            attribute_error_row(&adj_norm, &z, &decoder, graph.features(), i)
         });
         NodeErrors::combine(structure, attribute, self.config.lambda)
     }
@@ -321,7 +319,7 @@ impl Gae {
         let structure: Vec<f32> =
             grgad_parallel::par_map_range_min(n, 64, |i| structure_error_row(z, target, i));
         let attribute: Vec<f32> = grgad_parallel::par_map_range_min(n, 256, |i| {
-            attribute_error_row(graph.features(), x_hat, i)
+            attribute_error_from_rows(graph.features().row(i), x_hat.row(i))
         });
         NodeErrors::combine(structure, attribute, self.config.lambda)
     }
@@ -392,18 +390,27 @@ pub(crate) fn structure_error_row(z: &Matrix, target: &CsrMatrix, i: usize) -> f
     }
 }
 
-/// One node's attribute reconstruction error: the Euclidean distance
-/// between its feature row and the decoded reconstruction. Shared between
-/// the full parallel map and the incremental row patcher (see
-/// [`structure_error_row`]).
-pub(crate) fn attribute_error_row(features: &Matrix, x_hat: &Matrix, i: usize) -> f32 {
-    attribute_error_from_rows(features.row(i), x_hat.row(i))
+/// One node's attribute reconstruction error with the decode fused in: row
+/// `i` of the reconstruction `X'` is decoded from the embeddings `z`
+/// (`gcn::layer_row`), reduced to its error and dropped, so `X'` never
+/// exists as a full matrix. Shared between the full parallel map and the
+/// incremental row patcher (see [`structure_error_row`]); bit-identical
+/// to decoding `X'` in full and erroring against it.
+pub(crate) fn attribute_error_row(
+    adj_norm: &CsrMatrix,
+    z: &Matrix,
+    decoder: &(Matrix, Matrix, Activation),
+    features: &Matrix,
+    i: usize,
+) -> f32 {
+    let (dw, db, dact) = decoder;
+    let x_hat_row = crate::gcn::layer_row(adj_norm, z, dw, db, *dact, i);
+    attribute_error_from_rows(features.row(i), &x_hat_row)
 }
 
-/// [`attribute_error_row`] on raw row slices — the form the fused
-/// decode-and-score map uses, where the reconstruction row exists only as a
-/// transient buffer and never joins a full `X'` matrix.
-pub(crate) fn attribute_error_from_rows(features_row: &[f32], x_hat_row: &[f32]) -> f32 {
+/// One node's attribute reconstruction error from its feature row and its
+/// decoded reconstruction row: the Euclidean distance between them.
+fn attribute_error_from_rows(features_row: &[f32], x_hat_row: &[f32]) -> f32 {
     features_row
         .iter()
         .zip(x_hat_row)

@@ -12,11 +12,12 @@
 //! previous round and recomputes **rows only**:
 //!
 //! * encoder layer `l` (1-based): rows in `N_l[D]`,
-//! * attribute decoder: rows in `N_{L+1}[D]`,
 //! * structure errors: changed target rows ∪ `N_{L+1}[D]` (a node's
 //!   structure error reads its target row plus the embeddings of its
 //!   target-neighbors, and the target's sparsity equals the adjacency's),
-//! * attribute errors: rows in `N_{L+1}[D]`.
+//! * attribute errors: rows in `N_{L+1}[D]`, each decoding its own row of
+//!   the attribute reconstruction and dropping it (the decoder output is
+//!   read only by the attribute error, so it is never cached).
 //!
 //! # Bit-for-bit parity
 //!
@@ -34,7 +35,7 @@
 //! take the full-recompute path; their caches still repopulate so the
 //! downstream stages (sampling, embeddings) stay incremental.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use grgad_autograd::nn::Activation;
 use grgad_graph::algorithms::{graphsnn_adjacency_cached, hop_ball};
@@ -46,20 +47,19 @@ use crate::gcn::{forward_layer_rows, layer_row};
 use crate::mhgae::{MhGae, ReconstructionTarget};
 
 /// Cross-round cache of everything stage 1 derives from the graph: the
-/// per-layer GCN activations, the reconstruction target (plus raw GraphSNN
-/// overlap weights), and the raw per-node error vectors. Owned by the
-/// pipeline's `IncrementalState`; opaque outside this crate.
+/// per-layer encoder activations, the reconstruction target (plus raw
+/// GraphSNN overlap weights), and the raw per-node error vectors. Owned by
+/// the pipeline's `IncrementalState`; opaque outside this crate.
 #[derive(Clone, Debug)]
 pub struct ErrorCache {
     /// Output of each encoder layer, in forward order (last = embeddings).
     layer_outputs: Vec<Matrix>,
-    /// Output of the attribute decoder.
-    x_hat: Matrix,
     /// The reconstruction target of the previous round.
     target: CsrMatrix,
-    /// Raw (pre-standardization) GraphSNN overlap weight per edge
-    /// `(min, max)`; empty for other target kinds.
-    raw_overlap: BTreeMap<(usize, usize), f32>,
+    /// Raw (pre-standardization) GraphSNN overlap weight per edge of the
+    /// previous round's graph, in `Graph::edges()` order — the order of the
+    /// target's upper triangle; empty for other target kinds.
+    raw_overlap: Vec<f32>,
     /// Per-node structure errors (raw, pre-normalization).
     structure: Vec<f32>,
     /// Per-node attribute errors (raw, pre-normalization).
@@ -70,6 +70,21 @@ impl ErrorCache {
     /// Number of nodes the cache covers.
     pub fn nodes(&self) -> usize {
         self.structure.len()
+    }
+
+    /// The previous round's edges `(min, max)` — read off the target's
+    /// upper triangle, whose sparsity is the adjacency's — paired with
+    /// their raw overlap weights.
+    fn previous_overlap(&self) -> impl Iterator<Item = ((usize, usize), f32)> + '_ {
+        let target = &self.target;
+        (0..target.rows())
+            .flat_map(move |i| {
+                target
+                    .row_iter(i)
+                    .filter(move |&(j, _)| j > i)
+                    .map(move |(j, _)| (i, j))
+            })
+            .zip(self.raw_overlap.iter().copied())
     }
 }
 
@@ -97,16 +112,10 @@ fn csr_from_value(value: &serde::Value) -> Result<CsrMatrix, serde::Error> {
 
 impl serde::Serialize for ErrorCache {
     fn to_value(&self) -> serde::Value {
-        let overlap: Vec<(usize, usize, f32)> = self
-            .raw_overlap
-            .iter()
-            .map(|(&(u, v), &w)| (u, v, w))
-            .collect();
         serde::Value::Map(vec![
             ("layer_outputs".to_string(), self.layer_outputs.to_value()),
-            ("x_hat".to_string(), self.x_hat.to_value()),
             ("target".to_string(), csr_to_value(&self.target)),
-            ("raw_overlap".to_string(), overlap.to_value()),
+            ("raw_overlap".to_string(), self.raw_overlap.to_value()),
             ("structure".to_string(), self.structure.to_value()),
             ("attribute".to_string(), self.attribute.to_value()),
         ])
@@ -115,39 +124,43 @@ impl serde::Serialize for ErrorCache {
 
 impl serde::Deserialize for ErrorCache {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let overlap = Vec::<(usize, usize, f32)>::from_value(value.field("raw_overlap")?)?;
+        let target = csr_from_value(value.field("target")?)?;
+        let raw_overlap = Vec::<f32>::from_value(value.field("raw_overlap")?)?;
+        // One weight per target edge, or none at all (non-GraphSNN target).
+        if !raw_overlap.is_empty() && 2 * raw_overlap.len() != target.nnz() {
+            return Err(serde::Error::custom(format!(
+                "raw_overlap holds {} weights for a target with {} stored entries",
+                raw_overlap.len(),
+                target.nnz()
+            )));
+        }
         Ok(Self {
             layer_outputs: Vec::<Matrix>::from_value(value.field("layer_outputs")?)?,
-            x_hat: Matrix::from_value(value.field("x_hat")?)?,
-            target: csr_from_value(value.field("target")?)?,
-            raw_overlap: overlap.into_iter().map(|(u, v, w)| ((u, v), w)).collect(),
+            target,
+            raw_overlap,
             structure: Vec::<f32>::from_value(value.field("structure")?)?,
             attribute: Vec::<f32>::from_value(value.field("attribute")?)?,
         })
     }
 }
 
-/// Full per-layer forward with the chunked inference kernels
-/// ([`forward_layer_rows`]), returning every encoder layer output plus the
-/// decoded attributes. Bit-identical to the `Tensor` forward (`gcn` test
+/// Full per-layer encoder forward with the chunked inference kernels
+/// ([`forward_layer_rows`]), returning every layer output. Bit-identical to
+/// the `Tensor` forward (`gcn` test
 /// `inference_snapshot_matches_tensor_forward_bitwise` pins the kernel
 /// identity).
 fn full_forward(
+    adj: &CsrMatrix,
     graph: &Graph,
     encoder: &[(Matrix, Matrix, Activation)],
-    decoder: &(Matrix, Matrix, Activation),
-) -> (Vec<Matrix>, Matrix) {
-    let adj = graph.normalized_adjacency();
+) -> Vec<Matrix> {
     let mut outputs: Vec<Matrix> = Vec::with_capacity(encoder.len());
     for (w, b, act) in encoder {
         let input = outputs.last().unwrap_or_else(|| graph.features());
-        let h = forward_layer_rows(&adj, input, w, b, *act);
+        let h = forward_layer_rows(adj, input, w, b, *act);
         outputs.push(h);
     }
-    let (dw, db, dact) = decoder;
-    let last = outputs.last().unwrap_or_else(|| graph.features());
-    let x_hat = forward_layer_rows(&adj, last, dw, db, *dact);
-    (outputs, x_hat)
+    outputs
 }
 
 /// Rows `0..n` whose stored target entries differ bitwise between the old
@@ -229,7 +242,6 @@ impl MhGae {
             for m in &mut c.layer_outputs {
                 *m = grow_rows(m, n);
             }
-            c.x_hat = grow_rows(&c.x_hat, n);
             c.structure.resize(n, 0.0);
             c.attribute.resize(n, 0.0);
         }
@@ -248,7 +260,14 @@ impl MhGae {
             let new_target = match self.target_kind() {
                 ReconstructionTarget::Adjacency => graph.adjacency(),
                 ReconstructionTarget::GraphSnn { lambda } => {
-                    graphsnn_adjacency_cached(graph, lambda, &mut c.raw_overlap, topology_dirty)
+                    let (target, raw) = graphsnn_adjacency_cached(
+                        graph,
+                        lambda,
+                        c.previous_overlap(),
+                        topology_dirty,
+                    );
+                    c.raw_overlap = raw;
+                    target
                 }
                 ReconstructionTarget::KHop(_) => {
                     unreachable!("KHop targets take the full-recompute path")
@@ -259,10 +278,10 @@ impl MhGae {
             changed
         };
 
-        // Patch encoder layer l (1-based) on N_l[dirty], the decoder on
-        // N_{L+1}[dirty]. Each patched row reads the *previous* layer's full
-        // matrix, which is already correct everywhere: patched inside its
-        // ball, untouched-and-valid outside it.
+        // Patch encoder layer l (1-based) on N_l[dirty]. Each patched row
+        // reads the *previous* layer's full matrix, which is already correct
+        // everywhere: patched inside its ball, untouched-and-valid outside
+        // it.
         for (l, (w, b, act)) in encoder.iter().enumerate() {
             let ball = hop_ball(graph, dirty.iter().copied(), l + 1);
             let rows: Vec<(usize, Vec<f32>)> = {
@@ -280,25 +299,11 @@ impl MhGae {
             }
         }
         let decoder_ball = hop_ball(graph, dirty.iter().copied(), encoder.len() + 1);
-        {
-            let (dw, db, dact) = &decoder;
-            let input = match c.layer_outputs.last() {
-                Some(z) => z,
-                None => graph.features(),
-            };
-            let rows: Vec<(usize, Vec<f32>)> = decoder_ball
-                .iter()
-                .map(|&i| (i, layer_row(&adj, input, dw, db, *dact, i)))
-                .collect();
-            for (i, row) in rows {
-                c.x_hat.row_mut(i).copy_from_slice(&row);
-            }
-        }
 
         // Splice the error rows: structure errors re-read changed target
         // rows and every node whose embedding (or a target-neighbor's
         // embedding) moved — all inside target_changed ∪ N_{L+1}[dirty];
-        // attribute errors re-read N_{L+1}[dirty].
+        // attribute errors decode and re-read N_{L+1}[dirty].
         let mut rescore: BTreeSet<usize> = target_changed.into_iter().collect();
         rescore.extend(decoder_ball.iter().copied());
         {
@@ -309,9 +314,9 @@ impl MhGae {
             for &i in &rescore {
                 c.structure[i] = structure_error_row(z, &c.target, i);
             }
-        }
-        for &i in &decoder_ball {
-            c.attribute[i] = attribute_error_row(graph.features(), &c.x_hat, i);
+            for &i in &decoder_ball {
+                c.attribute[i] = attribute_error_row(&adj, z, &decoder, graph.features(), i);
+            }
         }
 
         let nodes_rescored = rescore.len();
@@ -325,14 +330,14 @@ impl MhGae {
         let n = graph.num_nodes();
         let encoder = self.gae().encoder_snapshot();
         let decoder = self.gae().decoder_snapshot();
-        let mut raw_overlap = BTreeMap::new();
-        let target = match self.target_kind() {
+        let (target, raw_overlap) = match self.target_kind() {
             ReconstructionTarget::GraphSnn { lambda } => {
-                graphsnn_adjacency_cached(graph, lambda, &mut raw_overlap, &BTreeSet::new())
+                graphsnn_adjacency_cached(graph, lambda, std::iter::empty(), &BTreeSet::new())
             }
-            other => other.build(graph),
+            other => (other.build(graph), Vec::new()),
         };
-        let (layer_outputs, x_hat) = full_forward(graph, &encoder, &decoder);
+        let adj = graph.normalized_adjacency();
+        let layer_outputs = full_forward(&adj, graph, &encoder);
         let z = match layer_outputs.last() {
             Some(z) => z,
             None => graph.features(),
@@ -340,11 +345,10 @@ impl MhGae {
         let structure: Vec<f32> =
             grgad_parallel::par_map_range_min(n, 64, |i| structure_error_row(z, &target, i));
         let attribute: Vec<f32> = grgad_parallel::par_map_range_min(n, 256, |i| {
-            attribute_error_row(graph.features(), &x_hat, i)
+            attribute_error_row(&adj, z, &decoder, graph.features(), i)
         });
         ErrorCache {
             layer_outputs,
-            x_hat,
             target,
             raw_overlap,
             structure,

@@ -14,7 +14,7 @@
 //! beyond one-hop neighborhoods (comparable to a higher-order WL test),
 //! capturing the long-range inconsistency that defines group anomalies.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use grgad_linalg::CsrMatrix;
 
@@ -27,48 +27,37 @@ use crate::Graph;
 /// weights the matrix is scaled into `[0, 1]` by its maximum entry so it can
 /// serve directly as a sigmoid-decoder reconstruction target.
 pub fn graphsnn_adjacency(graph: &Graph, lambda: f32) -> CsrMatrix {
-    let n = graph.num_nodes();
-    let mut triplets: Vec<(usize, usize, f32)> = Vec::with_capacity(2 * graph.num_edges());
-    for (v, mu) in graph.edges() {
-        let w = overlap_weight(graph, v, mu, lambda);
-        triplets.push((v, mu, w));
-        triplets.push((mu, v, w));
-    }
-    let raw = CsrMatrix::from_triplets(n, n, triplets);
-    // Standardize into [0, 1].
-    let max = raw.iter().map(|(_, _, v)| v).fold(0.0_f32, f32::max);
-    if max > 0.0 {
-        raw.scale(1.0 / max)
-    } else {
-        raw
-    }
+    graphsnn_adjacency_cached(graph, lambda, std::iter::empty(), &BTreeSet::new()).0
 }
 
-/// [`graphsnn_adjacency`] with a cross-round cache of raw per-edge overlap
-/// weights, recomputing only the weights a mutation can have changed.
+/// [`graphsnn_adjacency`] reusing the raw per-edge overlap weights of a
+/// previous snapshot, recomputing only the weights a mutation can have
+/// changed. Returns the target plus the raw (pre-standardization) weight
+/// of every edge of `graph`, in [`Graph::edges`] order — the `previous` of
+/// the next call.
 ///
-/// `raw_weights` maps each undirected edge `(min, max)` to its raw
-/// (pre-standardization) overlap weight from a previous call on a graph
-/// that has since been mutated; `affected` is any superset of the nodes
-/// whose *neighborhood* changed (the endpoints of every inserted or
-/// removed edge). The raw weight of edge `(v, µ)` reads only the closed
-/// neighborhoods of `v` and `µ` and the edges among their overlap — all
-/// within one hop of `v` — so it can change only when `v` or `µ` lies in
-/// the closed 1-hop ball of `affected`. Those weights (plus any edge
-/// missing from the cache, e.g. a new edge) are recomputed; all others are
-/// reused verbatim, and entries for edges no longer present are dropped.
+/// `previous` yields each edge `(min, max)` of the earlier snapshot with
+/// its raw weight, sorted by edge (as [`Graph::edges`] and the upper
+/// triangle of the earlier target both are), so one merge walk against
+/// the current edge list finds every reusable weight. `affected` is any
+/// superset of the nodes whose *neighborhood* changed (the endpoints of
+/// every inserted or removed edge). The raw weight of edge `(v, µ)` reads
+/// only the closed neighborhoods of `v` and `µ` and the edges among their
+/// overlap — all within one hop of `v` — so it can change only when `v` or
+/// `µ` lies in the closed 1-hop ball of `affected`. Those weights (plus any
+/// edge missing from `previous`, e.g. a new edge) are recomputed; all
+/// others are reused verbatim.
 ///
 /// The global standardization is re-derived from scratch every call: `max`
 /// over a set of floats is exact regardless of order, and the scale is
 /// applied per-entry, so the result is **bit-for-bit identical** to
-/// [`graphsnn_adjacency`] on the same graph. On return `raw_weights` holds
-/// exactly the current edge set's raw weights, ready for the next round.
+/// [`graphsnn_adjacency`] on the same graph.
 pub fn graphsnn_adjacency_cached(
     graph: &Graph,
     lambda: f32,
-    raw_weights: &mut BTreeMap<(usize, usize), f32>,
+    previous: impl IntoIterator<Item = ((usize, usize), f32)>,
     affected: &BTreeSet<usize>,
-) -> CsrMatrix {
+) -> (CsrMatrix, Vec<f32>) {
     let n = graph.num_nodes();
     // Closed 1-hop ball of the affected set: the endpoints whose raw
     // weights must be recomputed.
@@ -81,27 +70,60 @@ pub fn graphsnn_adjacency_cached(
         }
         near
     };
-    let mut fresh: BTreeMap<(usize, usize), f32> = BTreeMap::new();
-    let mut triplets: Vec<(usize, usize, f32)> = Vec::with_capacity(2 * graph.num_edges());
-    for (v, mu) in graph.edges() {
-        let key = (v.min(mu), v.max(mu));
-        let cached = raw_weights.get(&key).copied();
-        let w = match cached {
-            Some(w) if !near.contains(&v) && !near.contains(&mu) => w,
-            _ => overlap_weight(graph, v, mu, lambda),
-        };
-        fresh.insert(key, w);
-        triplets.push((v, mu, w));
-        triplets.push((mu, v, w));
+    let mut previous = previous.into_iter().peekable();
+    let raw_weights: Vec<f32> = graph
+        .edges()
+        .map(|(v, mu)| {
+            let mut cached = None;
+            while let Some(&(edge, w)) = previous.peek() {
+                if edge > (v, mu) {
+                    break;
+                }
+                if edge == (v, mu) {
+                    cached = Some(w);
+                }
+                previous.next();
+            }
+            match cached {
+                Some(w) if !near.contains(&v) && !near.contains(&mu) => w,
+                _ => overlap_weight(graph, v, mu, lambda),
+            }
+        })
+        .collect();
+
+    // Standardize into [0, 1] by the largest raw weight.
+    let max = raw_weights.iter().copied().fold(0.0_f32, f32::max);
+    let scale = 1.0 / max;
+    let standardize = |w: f32| if max > 0.0 { w * scale } else { w };
+    // Lay the weights out straight into CSR rows, in the adjacency's
+    // sparsity. Row `i`'s entries `j > i` are the next edges in edge order;
+    // an entry `j < i` mirrors edge `(j, i)`, and rows `i` reach row `j`'s
+    // upper edges in the same ascending order, so `mirror[j]` (the index
+    // of row `j`'s next unmirrored edge) finds it.
+    let mut indptr = Vec::with_capacity(n + 1);
+    let mut indices = Vec::with_capacity(2 * raw_weights.len());
+    let mut values = Vec::with_capacity(2 * raw_weights.len());
+    let mut mirror: Vec<usize> = Vec::with_capacity(n);
+    let mut next_edge = 0;
+    indptr.push(0);
+    for i in 0..n {
+        mirror.push(next_edge);
+        for &j in graph.neighbors(i) {
+            let edge = if j < i {
+                mirror[j] += 1;
+                mirror[j] - 1
+            } else {
+                next_edge += 1;
+                next_edge - 1
+            };
+            indices.push(j);
+            values.push(standardize(raw_weights[edge]));
+        }
+        indptr.push(indices.len());
     }
-    *raw_weights = fresh;
-    let raw = CsrMatrix::from_triplets(n, n, triplets);
-    let max = raw.iter().map(|(_, _, v)| v).fold(0.0_f32, f32::max);
-    if max > 0.0 {
-        raw.scale(1.0 / max)
-    } else {
-        raw
-    }
+    let target = CsrMatrix::from_sorted_parts(n, n, indptr, indices, values)
+        .expect("sorted adjacency lists are valid CSR by construction");
+    (target, raw_weights)
 }
 
 /// The raw (unnormalized) overlap weight of a single edge.
@@ -235,27 +257,31 @@ mod tests {
         g.add_edge(0, 2);
         g.add_edge(3, 5);
 
-        let mut raw = BTreeMap::new();
         let full = graphsnn_adjacency(&g, 1.0);
-        let cached = graphsnn_adjacency_cached(&g, 1.0, &mut raw, &BTreeSet::new());
+        let (cached, mut raw) =
+            graphsnn_adjacency_cached(&g, 1.0, std::iter::empty(), &BTreeSet::new());
         assert_bitwise_eq(&full, &cached);
         assert_eq!(raw.len(), g.num_edges());
 
         // Mutate: add one edge, remove another; affected = their endpoints.
+        let mut edges: Vec<(usize, usize)> = g.edges().collect();
         assert!(g.try_add_edge(1, 6).expect("add"));
         assert!(g.try_remove_edge(3, 5).expect("remove"));
         let affected: BTreeSet<usize> = [1, 6, 3, 5].into_iter().collect();
         let full = graphsnn_adjacency(&g, 1.0);
-        let cached = graphsnn_adjacency_cached(&g, 1.0, &mut raw, &affected);
+        let (cached, next) =
+            graphsnn_adjacency_cached(&g, 1.0, edges.into_iter().zip(raw), &affected);
         assert_bitwise_eq(&full, &cached);
-        assert_eq!(raw.len(), g.num_edges(), "removed edge pruned from cache");
+        assert_eq!(next.len(), g.num_edges(), "removed edge pruned from cache");
+        raw = next;
 
-        // A second round on top of the refreshed cache, touching the
+        // A second round on top of the refreshed weights, touching the
         // max-weight region too (global rescale must still agree).
+        edges = g.edges().collect();
         assert!(g.try_add_edge(0, 3).expect("add"));
         let affected: BTreeSet<usize> = [0, 3].into_iter().collect();
         let full = graphsnn_adjacency(&g, 1.0);
-        let cached = graphsnn_adjacency_cached(&g, 1.0, &mut raw, &affected);
+        let (cached, _) = graphsnn_adjacency_cached(&g, 1.0, edges.into_iter().zip(raw), &affected);
         assert_bitwise_eq(&full, &cached);
     }
 }

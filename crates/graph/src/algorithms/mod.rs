@@ -1,9 +1,8 @@
 //! Graph algorithms used across the TP-GrGAD pipeline.
 //!
-//! * [`bfs`] — breadth-first traversal, unweighted shortest paths and the
-//!   bounded BFS trees used by Alg. 1's tree search.
-//! * [`paths`] — Bellman–Ford shortest paths (the paper's choice for path
-//!   search).
+//! * [`bfs`] — breadth-first traversal, unweighted shortest paths (Alg. 1's
+//!   Bellman–Ford path search with unit edge weights) and the bounded BFS
+//!   trees used by Alg. 1's tree search.
 //! * [`cycles`] — bounded enumeration of simple cycles through a node
 //!   (the paper's cycle search, after Birmelé et al.).
 //! * [`components`] — connected components, both of a whole graph and of an
@@ -18,7 +17,6 @@ pub mod components;
 pub mod cycles;
 pub mod graphsnn;
 pub mod khop;
-pub mod paths;
 
 pub use bfs::{
     bfs_distances, bounded_bfs_tree, hop_ball, multi_source_bfs_distances, shortest_path,
@@ -27,4 +25,3 @@ pub use components::{connected_components, connected_components_of_subset};
 pub use cycles::{cycles_through, cycles_through_budgeted};
 pub use graphsnn::{graphsnn_adjacency, graphsnn_adjacency_cached};
 pub use khop::khop_matrix;
-pub use paths::{bellman_ford, shortest_path_bellman_ford};

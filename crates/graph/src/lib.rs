@@ -7,7 +7,7 @@
 //!   induced-subgraph extraction and mutation helpers used by dataset
 //!   generators and augmentations.
 //! * [`Group`] — a set of nodes (a candidate or ground-truth anomaly group).
-//! * [`algorithms`] — BFS / shortest paths (Bellman–Ford), bounded BFS trees,
+//! * [`algorithms`] — BFS / unweighted shortest paths, bounded BFS trees,
 //!   cycle enumeration, connected components, standardized k-hop adjacency
 //!   powers (`A^k`) and the GraphSNN weighted adjacency `Ã` (Eqn. 4 of the
 //!   paper).

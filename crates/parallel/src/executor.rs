@@ -325,8 +325,9 @@ mod tests {
             .expect("submit shard 0");
         executor
             .try_submit(1, move || {
-                unblock_tx.send(()).expect("send unblock");
+                // Report before unblocking, so shard 0 cannot report first.
                 done_tx.send("free-job").expect("send");
+                unblock_tx.send(()).expect("send unblock");
             })
             .expect("submit shard 1");
 

@@ -3,8 +3,8 @@
 //! Starting from the anchor nodes located by MH-GAE, three pattern-search
 //! primitives produce candidate anomaly groups:
 //!
-//! * **path search** between every ordered pair of anchors (Bellman–Ford /
-//!   BFS shortest paths),
+//! * **path search** between every ordered pair of anchors (BFS shortest
+//!   paths — the paper's Bellman–Ford with unit edge weights),
 //! * **tree search**: a depth-bounded BFS tree rooted at the first anchor of
 //!   each pair (hyperparameter `t` in Alg. 1), and
 //! * **cycle search**: simple cycles through each anchor (bounded

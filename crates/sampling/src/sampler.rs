@@ -143,99 +143,28 @@ pub struct SamplingStats {
     pub pairs_examined: usize,
 }
 
-/// The three graph searches of Alg. 1 behind one seam, so the sampler's
-/// outer loop (pair enumeration, RNG draws, dedup, caps) is written once
-/// and runs identically whether each draw is computed fresh or answered
-/// from a [`DrawCache`]. The searches never consume the RNG — that is what
-/// makes memoized replay bit-identical (see `crate::cache`).
-trait DrawOracle {
-    fn path(&mut self, graph: &Graph, v: usize, mu: usize) -> Option<Vec<usize>>;
-    fn tree(&mut self, graph: &Graph, root: usize, config: &SamplingConfig) -> Vec<usize>;
-    fn cycles(&mut self, graph: &Graph, v: usize, config: &SamplingConfig) -> Vec<Vec<usize>>;
-}
-
-/// Always runs the underlying search — the historical behaviour.
-struct FreshOracle;
-
-impl DrawOracle for FreshOracle {
-    fn path(&mut self, graph: &Graph, v: usize, mu: usize) -> Option<Vec<usize>> {
-        shortest_path(graph, v, mu)
-    }
-
-    fn tree(&mut self, graph: &Graph, root: usize, config: &SamplingConfig) -> Vec<usize> {
-        bounded_bfs_tree(graph, root, config.tree_depth, config.max_group_size)
-    }
-
-    fn cycles(&mut self, graph: &Graph, v: usize, config: &SamplingConfig) -> Vec<Vec<usize>> {
-        cycles_through_budgeted(
-            graph,
-            v,
-            config.max_cycle_len,
-            config.max_cycles_per_anchor,
-            config.max_cycle_dfs_steps,
-        )
-    }
-}
-
-/// Answers draws from a [`DrawCache`], running (and memoizing) the search
-/// only on a miss.
-struct CachedOracle<'a> {
-    cache: &'a mut DrawCache,
-}
-
-impl DrawOracle for CachedOracle<'_> {
-    fn path(&mut self, graph: &Graph, v: usize, mu: usize) -> Option<Vec<usize>> {
-        self.cache
-            .path_entry((v, mu), || shortest_path(graph, v, mu))
-    }
-
-    fn tree(&mut self, graph: &Graph, root: usize, config: &SamplingConfig) -> Vec<usize> {
-        self.cache.tree_entry(root, || {
-            bounded_bfs_tree(graph, root, config.tree_depth, config.max_group_size)
-        })
-    }
-
-    fn cycles(&mut self, graph: &Graph, v: usize, config: &SamplingConfig) -> Vec<Vec<usize>> {
-        self.cache.cycles_entry(v, || {
-            cycles_through_budgeted(
-                graph,
-                v,
-                config.max_cycle_len,
-                config.max_cycles_per_anchor,
-                config.max_cycle_dfs_steps,
-            )
-        })
-    }
-}
-
-/// Samples candidate anomaly groups from the anchors (Alg. 1).
+/// Samples candidate anomaly groups from the anchors (Alg. 1): the
+/// memoized sampler ([`sample_candidate_groups_cached`]) run on an empty
+/// [`DrawCache`] that is dropped on return.
 pub fn sample_candidate_groups(
     graph: &Graph,
     anchors: &[usize],
     config: &SamplingConfig,
 ) -> (Vec<Group>, SamplingStats) {
-    sample_with_oracle(graph, anchors, config, &mut FreshOracle)
+    sample_candidate_groups_cached(graph, anchors, config, &mut DrawCache::new())
 }
 
-/// [`sample_candidate_groups`] answering each graph search from `cache`
-/// (memoizing misses). Output is **bit-for-bit identical** to the fresh
-/// sampler as long as the cache has been [`DrawCache::prune`]d for every
+/// Samples candidate anomaly groups from the anchors (Alg. 1), answering
+/// each graph search from `cache` and memoizing misses. The searches never
+/// consume the RNG, so the output is **bit-for-bit identical** whatever the
+/// cache holds, as long as it has been [`DrawCache::prune`]d for every
 /// topology change since its entries were recorded — the incremental
-/// scoring path's contract.
+/// scoring path's contract (see `crate::cache`).
 pub fn sample_candidate_groups_cached(
     graph: &Graph,
     anchors: &[usize],
     config: &SamplingConfig,
     cache: &mut DrawCache,
-) -> (Vec<Group>, SamplingStats) {
-    sample_with_oracle(graph, anchors, config, &mut CachedOracle { cache })
-}
-
-fn sample_with_oracle(
-    graph: &Graph,
-    anchors: &[usize],
-    config: &SamplingConfig,
-    oracle: &mut impl DrawOracle,
 ) -> (Vec<Group>, SamplingStats) {
     let mut stats = SamplingStats::default();
     let mut seen: BTreeSet<Group> = BTreeSet::new();
@@ -306,13 +235,13 @@ fn sample_with_oracle(
             break;
         }
         // Path search (Line 5 of Alg. 1).
-        if let Some(path) = oracle.path(graph, v, mu) {
+        if let Some(path) = cache.path_entry((v, mu), || shortest_path(graph, v, mu)) {
             if path.len() <= config.max_path_len {
                 push(path, &mut seen, &mut groups, &mut stats, Source::Path);
             }
         }
         // Tree search (Line 7 of Alg. 1): depth-bounded BFS tree from v.
-        let tree = oracle.tree(graph, v, config);
+        let tree = cache.tree_entry(v, || tree_search(graph, v, config));
         push(tree, &mut seen, &mut groups, &mut stats, Source::Tree);
     }
 
@@ -321,7 +250,16 @@ fn sample_with_oracle(
         if groups.len() >= config.max_groups {
             break;
         }
-        for cycle in oracle.cycles(graph, v, config) {
+        let cycles = cache.cycles_entry(v, || {
+            cycles_through_budgeted(
+                graph,
+                v,
+                config.max_cycle_len,
+                config.max_cycles_per_anchor,
+                config.max_cycle_dfs_steps,
+            )
+        });
+        for cycle in cycles {
             push(cycle, &mut seen, &mut groups, &mut stats, Source::Cycle);
         }
     }
@@ -336,13 +274,18 @@ fn sample_with_oracle(
             .collect();
         non_anchors.shuffle(&mut rng);
         for &root in non_anchors.iter().take(config.background_groups) {
-            let tree = oracle.tree(graph, root, config);
+            let tree = cache.tree_entry(root, || tree_search(graph, root, config));
             push(tree, &mut seen, &mut groups, &mut stats, Source::Background);
         }
     }
 
     groups.truncate(config.max_groups);
     (groups, stats)
+}
+
+/// The depth-bounded BFS tree of the tree and background searches.
+fn tree_search(graph: &Graph, root: usize, config: &SamplingConfig) -> Vec<usize> {
+    bounded_bfs_tree(graph, root, config.tree_depth, config.max_group_size)
 }
 
 enum Source {

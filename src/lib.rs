@@ -53,9 +53,9 @@ pub use grgad_tsne as tsne;
 pub mod prelude {
     pub use grgad_baselines as baselines;
     pub use grgad_core::{
-        DetectorKind, GrgadError, GroupEmbeddingCache, IncrementalState, IncrementalStats,
-        NullObserver, PipelineObserver, PipelinePhase, PipelineStage, StageTimings, TimingObserver,
-        TpGrGad, TpGrGadConfig, TpGrGadConfigBuilder, TpGrGadResult, TrainedTpGrGad,
+        DetectorKind, GrgadError, IncrementalState, IncrementalStats, NullObserver,
+        PipelineObserver, PipelinePhase, PipelineStage, StageTimings, TimingObserver, TpGrGad,
+        TpGrGadConfig, TpGrGadConfigBuilder, TpGrGadResult, TrainedTpGrGad,
     };
     pub use grgad_datasets as datasets;
     pub use grgad_datasets::{DatasetScale, GrGadDataset};
