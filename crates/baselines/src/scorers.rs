@@ -98,8 +98,7 @@ impl NodeAnomalyScorer for Dominant {
     fn score_nodes(&self, graph: &Graph) -> Vec<f32> {
         let target = ReconstructionTarget::Adjacency.build(graph);
         let mut gae = Gae::new(graph.feature_dim(), self.config.to_gae_config());
-        gae.fit(graph, &target);
-        gae.node_errors(graph, &target).combined
+        gae.fit(graph, &target).combined
     }
 
     fn name(&self) -> &'static str {
@@ -248,8 +247,7 @@ impl NodeAnomalyScorer for ComGa {
         community_graph.set_features(augmented);
         let target = ReconstructionTarget::Adjacency.build(&community_graph);
         let mut gae = Gae::new(community_graph.feature_dim(), self.config.to_gae_config());
-        gae.fit(&community_graph, &target);
-        gae.node_errors(&community_graph, &target).combined
+        gae.fit(&community_graph, &target).combined
     }
 
     fn name(&self) -> &'static str {
@@ -382,8 +380,7 @@ impl NodeAnomalyScorer for AsGae {
     fn score_nodes(&self, graph: &Graph) -> Vec<f32> {
         let target = ReconstructionTarget::Adjacency.build(graph);
         let mut gae = Gae::new(graph.feature_dim(), self.config.to_gae_config());
-        gae.fit(graph, &target);
-        let base = gae.node_errors(graph, &target).combined;
+        let base = gae.fit(graph, &target).combined;
         // Location-aware smoothing over the one-hop neighborhood.
         (0..graph.num_nodes())
             .map(|v| {

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use grgad_bench::{print_table, progress, write_json, HarnessOptions};
 use grgad_datasets::all_datasets;
-use grgad_gnn::MhGae;
+use grgad_gnn::{select_anchor_nodes, MhGae};
 use grgad_metrics::evaluate_detection;
 use grgad_outlier::{threshold_by_contamination, Ecod, OutlierDetector};
 use grgad_sampling::sample_candidate_groups;
@@ -36,8 +36,8 @@ fn main() {
             config.reconstruction_target,
             config.gae.clone(),
         );
-        mhgae.fit(&dataset.graph);
-        let anchors = mhgae.anchor_nodes(config.anchor_fraction);
+        let anchors =
+            select_anchor_nodes(&mhgae.fit(&dataset.graph).combined, config.anchor_fraction);
         let (candidates, _) = sample_candidate_groups(&dataset.graph, &anchors, &config.sampling);
         if candidates.is_empty() {
             progress(

@@ -56,8 +56,7 @@ fn main() {
                     seed,
                 },
             );
-            mhgae.fit(&dataset.graph);
-            mhgae.node_errors().combined.clone()
+            mhgae.fit(&dataset.graph).combined
         }),
     ];
 

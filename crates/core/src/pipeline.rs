@@ -107,8 +107,9 @@ impl TpGrGad {
         // backend; scores are identical at any thread count.
         grgad_parallel::set_max_threads(config.num_threads);
 
-        // Stage 1: anchor localization — train MH-GAE.
-        let mhgae = observe_stage(
+        // Stage 1: anchor localization — train MH-GAE and pick the anchors
+        // from its training errors, which are dropped here.
+        let (mhgae, anchor_nodes) = observe_stage(
             observer,
             PipelineStage::AnchorLocalization,
             PipelinePhase::Fit,
@@ -118,12 +119,12 @@ impl TpGrGad {
                     config.reconstruction_target,
                     config.gae.clone(),
                 );
-                mhgae.fit(graph);
+                let errors = mhgae.fit(graph);
+                let anchors = select_anchor_nodes(&errors.combined, config.anchor_fraction);
                 let epochs = mhgae.gae().loss_history().len();
-                (mhgae, graph.num_nodes(), epochs)
+                ((mhgae, anchors), graph.num_nodes(), epochs)
             },
         );
-        let anchor_nodes = mhgae.anchor_nodes(config.anchor_fraction);
 
         // Stage 2: candidate-group sampling (Alg. 1) — the TPGCL training set.
         let candidate_groups = observe_stage(

@@ -10,6 +10,11 @@
 //! decoder never materializes an `n × n` reconstruction: it scores the stored
 //! (positive) entries of the target matrix plus a set of sampled negative
 //! pairs each epoch.
+//!
+//! A [`Gae`] holds only its weights, configuration and loss history — no
+//! embeddings or reconstructions outlive a call. Per-node errors are a
+//! return value: [`Gae::fit`] returns them for the training graph and
+//! [`Gae::node_errors_on`] for any graph, both through one shared path.
 
 use grgad_autograd::nn::Activation;
 use grgad_autograd::{Adam, Optimizer, Tensor};
@@ -97,8 +102,6 @@ pub struct Gae {
     encoder: GcnEncoder,
     attr_decoder: GcnLayer,
     config: GaeConfig,
-    embeddings: Option<Matrix>,
-    reconstructed_attrs: Option<Matrix>,
     loss_history: Vec<f32>,
 }
 
@@ -120,8 +123,6 @@ impl Gae {
             encoder,
             attr_decoder,
             config,
-            embeddings: None,
-            reconstructed_attrs: None,
             loss_history: Vec::new(),
         }
     }
@@ -136,19 +137,12 @@ impl Gae {
         &self.loss_history
     }
 
-    /// Node embeddings produced by the last [`Gae::fit`] call.
-    pub fn embeddings(&self) -> Option<&Matrix> {
-        self.embeddings.as_ref()
-    }
-
-    /// Reconstructed attribute matrix from the last [`Gae::fit`] call.
-    pub fn reconstructed_attributes(&self) -> Option<&Matrix> {
-        self.reconstructed_attrs.as_ref()
-    }
-
     /// Trains the autoencoder on `graph`, reconstructing node attributes and
-    /// the given structure `target` matrix. Returns the final loss.
-    pub fn fit(&mut self, graph: &Graph, target: &CsrMatrix) -> f32 {
+    /// the given structure `target` matrix, and returns the trained model's
+    /// per-node errors on `graph` — computed by the same code as
+    /// [`Gae::node_errors_on`], bit for bit. The per-epoch losses are in
+    /// [`Gae::loss_history`].
+    pub fn fit(&mut self, graph: &Graph, target: &CsrMatrix) -> NodeErrors {
         assert_eq!(
             target.rows(),
             graph.num_nodes(),
@@ -165,7 +159,6 @@ impl Gae {
         let mut opt = Adam::new(params, self.config.lr);
 
         self.loss_history.clear();
-        let mut final_loss = 0.0;
         for _epoch in 0..self.config.epochs {
             opt.zero_grad();
             let z = self.encoder.forward(&adj_norm, &x);
@@ -187,23 +180,12 @@ impl Gae {
             let loss = structure_loss
                 .scale(self.config.lambda)
                 .add(&attr_loss.scale(1.0 - self.config.lambda));
-            final_loss = loss.scalar_value();
-            self.loss_history.push(final_loss);
+            self.loss_history.push(loss.scalar_value());
             loss.backward();
             opt.step();
         }
 
-        // Cache the final forward pass for error computation / inspection —
-        // on the autodiff-free chunked kernels (bit-identical to the
-        // `Tensor` forward) so no training-size tape is rebuilt once
-        // training is over.
-        let z = GcnInference::from_snapshots(self.encoder_snapshot())
-            .forward(&adj_norm, graph.features());
-        let x_hat =
-            GcnInference::from_snapshots(vec![self.decoder_snapshot()]).forward(&adj_norm, &z);
-        self.embeddings = Some(z);
-        self.reconstructed_attrs = Some(x_hat);
-        final_loss
+        self.errors_with(&adj_norm, graph, target)
     }
 
     fn sample_structure_batch(
@@ -239,24 +221,6 @@ impl Gae {
         (pairs, m)
     }
 
-    /// Runs the trained encoder/decoder forward on `graph` without touching
-    /// the weights, returning `(embeddings, reconstructed_attributes)`.
-    ///
-    /// Unlike [`Gae::fit`] this works for *any* graph with the same feature
-    /// dimensionality — it is the inference path of a trained model, used to
-    /// score new snapshots without retraining. It runs on the chunked
-    /// autodiff-free kernels ([`crate::gcn::GcnInference`]): no autograd
-    /// graph, no full-size propagated intermediates, and bit-identical
-    /// values to the `Tensor` forward.
-    pub fn infer(&self, graph: &Graph) -> (Matrix, Matrix) {
-        let adj_norm = graph.normalized_adjacency();
-        let z = GcnInference::from_snapshots(self.encoder_snapshot())
-            .forward(&adj_norm, graph.features());
-        let x_hat =
-            GcnInference::from_snapshots(vec![self.decoder_snapshot()]).forward(&adj_norm, &z);
-        (z, x_hat)
-    }
-
     /// Computes per-node reconstruction errors for an arbitrary graph using
     /// the current (trained) weights — the zero-training scoring path.
     ///
@@ -267,59 +231,32 @@ impl Gae {
     /// features (which may themselves be mmap-backed). Bit-identical to
     /// decoding `X'` in full and erroring against it.
     pub fn node_errors_on(&self, graph: &Graph, target: &CsrMatrix) -> NodeErrors {
-        let adj_norm = graph.normalized_adjacency();
+        self.errors_with(&graph.normalized_adjacency(), graph, target)
+    }
+
+    /// The error path shared by [`Gae::fit`] and [`Gae::node_errors_on`],
+    /// on the autodiff-free chunked kernels (bit-identical to the `Tensor`
+    /// forward) over a normalized adjacency the caller already holds.
+    ///
+    /// Structure error (Eqn. 1 / Eqn. 3): per stored entry of the target
+    /// matrix, the deviation between the target weight and the decoded
+    /// link probability. With a multi-hop / GraphSNN target the entries of
+    /// planted groups carry weights their embeddings cannot match (their
+    /// attributes bind them together while their multi-hop structure does
+    /// not), which is the long-range inconsistency signal.
+    ///
+    /// Both decode heads are embarrassingly parallel per node: each node's
+    /// error reads only its own target row / embedding rows and lands in
+    /// its own slot, so the output is identical at any thread count.
+    fn errors_with(&self, adj_norm: &CsrMatrix, graph: &Graph, target: &CsrMatrix) -> NodeErrors {
         let z = GcnInference::from_snapshots(self.encoder_snapshot())
-            .forward(&adj_norm, graph.features());
+            .forward(adj_norm, graph.features());
         let decoder = self.decoder_snapshot();
         let n = graph.num_nodes();
         let structure: Vec<f32> =
             grgad_parallel::par_map_range_min(n, 64, |i| structure_error_row(&z, target, i));
         let attribute: Vec<f32> = grgad_parallel::par_map_range_min(n, 256, |i| {
-            attribute_error_row(&adj_norm, &z, &decoder, graph.features(), i)
-        });
-        NodeErrors::combine(structure, attribute, self.config.lambda)
-    }
-
-    /// Computes per-node reconstruction errors against the given structure
-    /// target (Eqn. 1 / Eqn. 3 of the paper), using the forward pass cached
-    /// by the last [`Gae::fit`].
-    ///
-    /// # Panics
-    /// Panics if the model has not been fitted yet.
-    pub fn node_errors(&self, graph: &Graph, target: &CsrMatrix) -> NodeErrors {
-        let z = self
-            .embeddings
-            .as_ref()
-            .expect("node_errors: call fit() before node_errors()");
-        let x_hat = self
-            .reconstructed_attrs
-            .as_ref()
-            .expect("node_errors: call fit() before node_errors()");
-        self.errors_from(z, x_hat, graph, target)
-    }
-
-    fn errors_from(
-        &self,
-        z: &Matrix,
-        x_hat: &Matrix,
-        graph: &Graph,
-        target: &CsrMatrix,
-    ) -> NodeErrors {
-        let n = graph.num_nodes();
-        // Structure error (Eqn. 1 / Eqn. 3): per stored entry of the target
-        // matrix, the deviation between the target weight and the decoded
-        // link probability. With a multi-hop / GraphSNN target the entries of
-        // planted groups carry weights their embeddings cannot match (their
-        // attributes bind them together while their multi-hop structure does
-        // not), which is the long-range inconsistency signal.
-        //
-        // Both decode heads are embarrassingly parallel per node: each node's
-        // error reads only its own target row / embedding rows and lands in
-        // its own slot, so the output is identical at any thread count.
-        let structure: Vec<f32> =
-            grgad_parallel::par_map_range_min(n, 64, |i| structure_error_row(z, target, i));
-        let attribute: Vec<f32> = grgad_parallel::par_map_range_min(n, 256, |i| {
-            attribute_error_from_rows(graph.features().row(i), x_hat.row(i))
+            attribute_error_row(adj_norm, &z, &decoder, graph.features(), i)
         });
         NodeErrors::combine(structure, attribute, self.config.lambda)
     }
@@ -390,8 +327,9 @@ pub(crate) fn structure_error_row(z: &Matrix, target: &CsrMatrix, i: usize) -> f
     }
 }
 
-/// One node's attribute reconstruction error with the decode fused in: row
-/// `i` of the reconstruction `X'` is decoded from the embeddings `z`
+/// One node's attribute reconstruction error — the Euclidean distance
+/// between its feature row and its reconstruction — with the decode fused
+/// in: row `i` of `X'` is decoded from the embeddings `z`
 /// (`gcn::layer_row`), reduced to its error and dropped, so `X'` never
 /// exists as a full matrix. Shared between the full parallel map and the
 /// incremental row patcher (see [`structure_error_row`]); bit-identical
@@ -405,15 +343,10 @@ pub(crate) fn attribute_error_row(
 ) -> f32 {
     let (dw, db, dact) = decoder;
     let x_hat_row = crate::gcn::layer_row(adj_norm, z, dw, db, *dact, i);
-    attribute_error_from_rows(features.row(i), &x_hat_row)
-}
-
-/// One node's attribute reconstruction error from its feature row and its
-/// decoded reconstruction row: the Euclidean distance between them.
-fn attribute_error_from_rows(features_row: &[f32], x_hat_row: &[f32]) -> f32 {
-    features_row
+    features
+        .row(i)
         .iter()
-        .zip(x_hat_row)
+        .zip(&x_hat_row)
         .map(|(&a, &b)| (a - b) * (a - b))
         .sum::<f32>()
         .sqrt()
@@ -477,24 +410,12 @@ mod tests {
     }
 
     #[test]
-    fn embeddings_have_requested_shape() {
-        let (g, _) = graph_with_outliers();
-        let mut gae = Gae::new(g.feature_dim(), quick_config());
-        gae.fit(&g, &g.adjacency());
-        let z = gae.embeddings().unwrap();
-        assert_eq!(z.shape(), (g.num_nodes(), 8));
-        assert!(z.all_finite());
-        assert_eq!(gae.reconstructed_attributes().unwrap().shape(), (30, 4));
-    }
-
-    #[test]
     fn attribute_outliers_receive_higher_attribute_errors() {
         let (g, outliers) = graph_with_outliers();
         let mut config = quick_config();
         config.epochs = 150;
         let mut gae = Gae::new(g.feature_dim(), config);
-        gae.fit(&g, &g.adjacency());
-        let errors = gae.node_errors(&g, &g.adjacency());
+        let errors = gae.fit(&g, &g.adjacency());
         // The attribute decoder is trained to reproduce the dominant feature
         // pattern; rare attribute outliers must reconstruct worse than the
         // typical normal node.
@@ -508,20 +429,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "call fit()")]
-    fn node_errors_require_fit() {
-        let (g, _) = graph_with_outliers();
-        let gae = Gae::new(g.feature_dim(), quick_config());
-        let _ = gae.node_errors(&g, &g.adjacency());
-    }
-
-    #[test]
     fn errors_are_finite_and_in_range() {
         let (g, _) = graph_with_outliers();
         let mut gae = Gae::new(g.feature_dim(), quick_config());
-        gae.fit(&g, &g.adjacency());
-        let errors = gae.node_errors(&g, &g.adjacency());
+        let errors = gae.fit(&g, &g.adjacency());
+        assert_eq!(errors.structure.len(), g.num_nodes());
+        assert_eq!(errors.attribute.len(), g.num_nodes());
         assert_eq!(errors.combined.len(), g.num_nodes());
+        assert!(errors.structure.iter().all(|e| e.is_finite()));
+        assert!(errors.attribute.iter().all(|e| e.is_finite()));
         for &e in &errors.combined {
             assert!(e.is_finite());
             assert!((0.0..=1.0).contains(&e));

@@ -12,7 +12,6 @@ use grgad_graph::algorithms::{graphsnn_adjacency, khop_matrix};
 use grgad_graph::Graph;
 use grgad_linalg::CsrMatrix;
 
-use crate::anchors::select_anchor_nodes;
 use crate::gae::{Gae, GaeConfig, NodeErrors};
 
 /// Which matrix the structure decoder must reconstruct.
@@ -90,12 +89,12 @@ impl serde::Deserialize for ReconstructionTarget {
 }
 
 /// The Multi-Hop Graph AutoEncoder: a [`Gae`] plus a multi-hop reconstruction
-/// target, exposing anchor-node selection.
+/// target kind. It holds only weights, configuration and loss history; the
+/// target matrix is built per call and dropped, and the per-node errors that
+/// pick the anchor nodes ([`crate::select_anchor_nodes`]) are return values.
 pub struct MhGae {
     gae: Gae,
     target_kind: ReconstructionTarget,
-    target: Option<CsrMatrix>,
-    errors: Option<NodeErrors>,
 }
 
 impl MhGae {
@@ -104,8 +103,6 @@ impl MhGae {
         Self {
             gae: Gae::new(feature_dim, config),
             target_kind: target,
-            target: None,
-            errors: None,
         }
     }
 
@@ -114,40 +111,18 @@ impl MhGae {
         self.target_kind
     }
 
-    /// Trains on the graph and caches per-node reconstruction errors.
-    /// Returns the final training loss.
-    pub fn fit(&mut self, graph: &Graph) -> f32 {
+    /// Builds the reconstruction target for `graph`, trains on it and
+    /// returns the per-node reconstruction errors of the trained model on
+    /// `graph` — bit-identical to [`MhGae::infer_errors`] on the same graph.
+    /// The target is dropped on return.
+    pub fn fit(&mut self, graph: &Graph) -> NodeErrors {
         let target = self.target_kind.build(graph);
-        let loss = self.gae.fit(graph, &target);
-        self.errors = Some(self.gae.node_errors(graph, &target));
-        self.target = Some(target);
-        loss
-    }
-
-    /// Per-node reconstruction errors (requires [`MhGae::fit`]).
-    pub fn node_errors(&self) -> &NodeErrors {
-        self.errors
-            .as_ref()
-            .expect("node_errors: call fit() before querying errors")
-    }
-
-    /// Node embeddings from the underlying GAE (requires [`MhGae::fit`]).
-    pub fn embeddings(&self) -> &grgad_linalg::Matrix {
-        self.gae
-            .embeddings()
-            .expect("embeddings: call fit() before querying embeddings")
-    }
-
-    /// Selects anchor nodes: the top `fraction` (e.g. 0.1 for the paper's
-    /// top-10%) of nodes by combined reconstruction error.
-    pub fn anchor_nodes(&self, fraction: f32) -> Vec<usize> {
-        select_anchor_nodes(&self.node_errors().combined, fraction)
+        self.gae.fit(graph, &target)
     }
 
     /// Computes per-node errors for an arbitrary graph with the trained
     /// weights — zero training epochs. The structure target is built fresh
-    /// for the given graph; for the training graph this reproduces the
-    /// cached [`MhGae::node_errors`] exactly.
+    /// for the given graph.
     pub fn infer_errors(&self, graph: &Graph) -> NodeErrors {
         let target = self.target_kind.build(graph);
         self.gae.node_errors_on(graph, &target)
@@ -168,7 +143,7 @@ impl MhGae {
         self.gae.import_weights(weights);
     }
 
-    /// Access to the inner GAE (loss history, reconstructed attributes).
+    /// Access to the inner GAE (configuration, loss history).
     pub fn gae(&self) -> &Gae {
         &self.gae
     }
@@ -177,6 +152,7 @@ impl MhGae {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select_anchor_nodes;
     use grgad_linalg::Matrix;
 
     /// Builds a graph with a "deeply embedded" anomaly group: a path of
@@ -246,12 +222,10 @@ mod tests {
             ReconstructionTarget::GraphSnn { lambda: 1.0 },
             quick_config(),
         );
-        model.fit(&g);
-        let errors = model.node_errors();
+        let errors = model.fit(&g);
         assert_eq!(errors.combined.len(), g.num_nodes());
-        let anchors = model.anchor_nodes(0.1);
+        let anchors = select_anchor_nodes(&errors.combined, 0.1);
         assert_eq!(anchors.len(), 4); // 10% of 40
-        assert_eq!(model.embeddings().rows(), g.num_nodes());
     }
 
     #[test]
@@ -262,8 +236,7 @@ mod tests {
             ReconstructionTarget::GraphSnn { lambda: 1.0 },
             quick_config(),
         );
-        model.fit(&g);
-        let anchors = model.anchor_nodes(0.25);
+        let anchors = select_anchor_nodes(&model.fit(&g).combined, 0.25);
         let hits = anchors.iter().filter(|a| anomalous.contains(a)).count();
         assert!(
             hits >= 1,
@@ -272,24 +245,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "call fit()")]
-    fn errors_before_fit_panic() {
-        let model = MhGae::new(3, ReconstructionTarget::Adjacency, quick_config());
-        let _ = model.node_errors();
-    }
-
-    #[test]
-    fn infer_errors_match_cached_errors_on_training_graph() {
+    fn fit_errors_match_infer_errors_bitwise() {
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let (g, _) = long_range_graph();
-        let mut model = MhGae::new(
-            g.feature_dim(),
+        for target in [
+            ReconstructionTarget::Adjacency,
+            ReconstructionTarget::KHop(3),
             ReconstructionTarget::GraphSnn { lambda: 1.0 },
-            quick_config(),
-        );
-        model.fit(&g);
-        let cached = model.node_errors().combined.clone();
-        let inferred = model.infer_errors(&g).combined;
-        assert_eq!(cached, inferred, "inference path must reproduce fit path");
+        ] {
+            let mut model = MhGae::new(g.feature_dim(), target, quick_config());
+            let fitted = model.fit(&g);
+            let inferred = model.infer_errors(&g);
+            let label = target.label();
+            assert_eq!(
+                bits(&fitted.structure),
+                bits(&inferred.structure),
+                "{label}"
+            );
+            assert_eq!(
+                bits(&fitted.attribute),
+                bits(&inferred.attribute),
+                "{label}"
+            );
+            assert_eq!(bits(&fitted.combined), bits(&inferred.combined), "{label}");
+        }
     }
 
     #[test]

@@ -33,8 +33,9 @@ fn main() {
         ReconstructionTarget::GraphSnn { lambda: 1.0 },
         gae_config,
     );
-    let loss = mhgae.fit(&dataset.graph);
-    let anchors = mhgae.anchor_nodes(0.1);
+    let errors = mhgae.fit(&dataset.graph);
+    let anchors = select_anchor_nodes(&errors.combined, 0.1);
+    let loss = mhgae.gae().loss_history().last().copied().unwrap_or(0.0);
     let anomalous = dataset.anomalous_nodes();
     let hits = anchors.iter().filter(|v| anomalous.contains(v)).count();
     println!(

@@ -59,7 +59,7 @@ pub mod prelude {
     };
     pub use grgad_datasets as datasets;
     pub use grgad_datasets::{DatasetScale, GrGadDataset};
-    pub use grgad_gnn::{GaeConfig, MhGae, ReconstructionTarget};
+    pub use grgad_gnn::{select_anchor_nodes, GaeConfig, MhGae, ReconstructionTarget};
     pub use grgad_graph::{Graph, Group, TopologyPattern};
     pub use grgad_linalg::{CsrMatrix, Matrix};
     pub use grgad_metrics::{evaluate_detection, DetectionReport};

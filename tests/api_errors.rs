@@ -246,3 +246,36 @@ fn serving_session_reports_typed_errors_on_the_wire() {
         assert!(response.contains("\"ok\":false"));
     }
 }
+
+/// A 64-bit seed beyond 2^53 survives save/load exactly, so the reloaded
+/// model scores bit-for-bit like the original; an integer field holding a
+/// number no integer decodes from (fractional, negative, out of range) is
+/// refused as `ModelIo` instead of being truncated.
+#[test]
+fn model_integers_round_trip_exactly_and_lossy_ones_are_model_io() {
+    let seed = 11_400_714_819_323_198_491u64;
+    let dataset = datasets::example::generate(30, 3);
+    let trained = TpGrGad::new(TpGrGadConfig::fast().with_seed(seed))
+        .fit(&dataset.graph)
+        .expect("fit");
+    let json = trained.to_json().expect("to_json");
+    let reloaded = TrainedTpGrGad::from_json(&json).expect("from_json");
+    assert_eq!(reloaded.config().seed, seed);
+    assert_eq!(reloaded.config().gae.seed, seed);
+    assert_eq!(reloaded.config().sampling.seed, seed.wrapping_add(1));
+    assert_eq!(reloaded.config().tpgcl.seed, seed.wrapping_add(2));
+    assert_eq!(reloaded.to_json().expect("to_json"), json);
+    let bits = |r: &TpGrGadResult| r.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&trained.score(&dataset.graph).expect("score")),
+        bits(&reloaded.score(&dataset.graph).expect("score"))
+    );
+
+    let field = format!("\"seed\": \"{seed}\"");
+    assert!(json.contains(&field), "seed must be saved as a string");
+    for bad in ["2.5", "-3", "1e300", "18446744073709551616", "\"12ab\""] {
+        let corrupt = json.replacen(&field, &format!("\"seed\": {bad}"), 1);
+        let err = TrainedTpGrGad::from_json(&corrupt).unwrap_err();
+        assert!(matches!(err, GrgadError::ModelIo { .. }), "{bad}: {err:?}");
+    }
+}
